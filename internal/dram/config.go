@@ -8,7 +8,10 @@
 // on construction.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the CPU cache-line size used throughout the system.
 const LineBytes = 64
@@ -83,6 +86,9 @@ func (c *Config) EnableRefresh(trfcNanos int) {
 }
 
 // Validate reports a descriptive error for an unusable configuration.
+// Channels, banks, lines per row and bytes per beat must be powers of two:
+// the address map and burst timing are decoded with shifts and masks (see
+// Decoder), and every Table I configuration satisfies that.
 func (c Config) Validate() error {
 	switch {
 	case c.Channels <= 0:
@@ -101,12 +107,74 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram %q: timing parameters must be positive", c.Name)
 	case c.RowBufferBytes < LineBytes:
 		return fmt.Errorf("dram %q: RowBufferBytes %d smaller than a line", c.Name, c.RowBufferBytes)
+	case !isPow2(c.Channels) || !isPow2(c.Banks):
+		return fmt.Errorf("dram %q: Channels %d and Banks %d must be powers of two",
+			c.Name, c.Channels, c.Banks)
+	case !isPow2(c.RowBufferBytes) || !isPow2(c.BusWidthBits/8):
+		return fmt.Errorf("dram %q: RowBufferBytes %d and BusWidthBits/8 %d must be powers of two",
+			c.Name, c.RowBufferBytes, c.BusWidthBits/8)
 	case c.RefreshEnabled && (c.TREFI <= 0 || c.TRFC <= 0 || c.TRFC >= c.TREFI):
 		return fmt.Errorf("dram %q: refresh timing tREFI=%d tRFC=%d invalid", c.Name, c.TREFI, c.TRFC)
 	case c.WriteBuffering && c.WriteDrainThreshold <= 0:
 		return fmt.Errorf("dram %q: WriteDrainThreshold must be positive with buffering", c.Name)
 	}
 	return nil
+}
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// Decoder is a validated Config's address map and burst timing reduced to
+// shifts and masks, computed once at construction. It is shared by every
+// timing engine (Module and the memctrl controller) so the two decode
+// addresses identically.
+type Decoder struct {
+	chanMask   uint64
+	chanShift  uint
+	rowShift   uint // log2(lines per row)
+	bankMask   uint64
+	bankShift  uint
+	beatMask   uint64 // bytes per beat - 1
+	beatShift  uint
+	beatCycles uint64 // CPU cycles per DDR beat
+}
+
+// Decoder returns c's precomputed decode. c must have passed Validate.
+func (c Config) Decoder() Decoder {
+	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+	return Decoder{
+		chanMask:   uint64(c.Channels - 1),
+		chanShift:  log2(c.Channels),
+		rowShift:   log2(c.RowBufferBytes / LineBytes),
+		bankMask:   uint64(c.Banks - 1),
+		bankShift:  log2(c.Banks),
+		beatMask:   uint64(c.BytesPerHalfBusCycle() - 1),
+		beatShift:  log2(c.BytesPerHalfBusCycle()),
+		beatCycles: (c.CPUPerBus() + 1) / 2,
+	}
+}
+
+// Locate maps a line address (module-local, 64 B units) to its channel, its
+// global bank index (channel*Banks + bank) and its row. Lines are
+// interleaved across channels; within a channel, a full row's worth of
+// consecutive channel-lines share a bank and row so that streaming accesses
+// enjoy row-buffer locality.
+func (d Decoder) Locate(line uint64) (channel, bank int, row uint64) {
+	ch := line & d.chanMask
+	rowGlobal := line >> d.chanShift >> d.rowShift
+	bank = int(ch<<d.bankShift | rowGlobal&d.bankMask)
+	return int(ch), bank, rowGlobal >> d.bankShift
+}
+
+// TransferCycles returns the CPU cycles the data bus is occupied moving
+// `bytes` bytes (whole DDR beats, at least one cycle). bytes must be
+// non-negative.
+func (d Decoder) TransferCycles(bytes int) uint64 {
+	beats := (uint64(bytes) + d.beatMask) >> d.beatShift
+	t := beats * d.beatCycles
+	if t == 0 {
+		t = 1
+	}
+	return t
 }
 
 // CPUPerBus returns the number of CPU cycles per DRAM bus cycle.

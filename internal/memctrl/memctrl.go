@@ -9,16 +9,28 @@
 // The controller operates lazily inside the synchronous Device interface:
 // every Access enqueues the request and then schedules queued work greedily
 // until the new request's completion is known (immediately, for posted
-// writes). Callers invoke Access in globally non-decreasing time order (the
-// simulation engine guarantees it), which is what makes the lazy schedule
-// equivalent to an online one.
+// writes). The simulation engine fires core events in non-decreasing time
+// order, but a core's memory request can carry an arrival cycle earlier
+// than one an earlier call already presented (an organization issues the
+// second device access of a miss, or a writeback, after the first one's
+// latency), so arrivals at the controller are not monotone. The lazy
+// schedule guarantees only this: each call issues its queued work in key
+// order against the bank and bus state left by all earlier calls, and a
+// request never starts before its own arrival. Work issued by an earlier
+// call is never revisited, so a late-arriving request that an online
+// controller would have slotted in ahead of it waits behind it instead.
 //
-// Hot-path layout (DESIGN.md §Performance): requests carry their channel,
-// bank, and row decoded once at enqueue, so the per-issue pick scan is pure
-// compares over a value slice; the scan is bounded by queueCap. The queue
-// is a preallocated slice with O(1) swap-removal — selection is by a
-// totally ordered key (the sequence number breaks every tie), so storage
-// order is irrelevant and steady-state operation performs no allocation.
+// Hot-path layout (DESIGN.md §Performance): the queue is a write buffer.
+// A read is queued only while its own Access runs, so reads bypass the
+// queue: a read issues the queued writes whose key beats its own, then
+// issues itself. Writes are kept in arrival-call order, so the first
+// minimum of a scan is the oldest — the sequence tie-break is positional.
+// Each queued write caches its bias-free pick key, which depends only on
+// its bank's state, and the controller caches the index of the best write.
+// An enqueue updates the best index with one compare; an issue re-keys the
+// writes in the issued bank and rescans for the best, which a read to a
+// bank with no queued writes skips entirely. The buffer is preallocated,
+// and steady-state operation performs no allocation.
 package memctrl
 
 import (
@@ -34,19 +46,22 @@ const writeBias = 200
 // compete on equal terms until drained.
 const writeDrainWatermark = 32
 
-// queueCap bounds the pending queue; beyond it the oldest requests are
-// issued unconditionally (a real controller's full-queue backpressure).
+// queueCap bounds the write buffer; beyond it writes are issued, best
+// first, without waiting for a read (a real controller's full-queue
+// backpressure).
 const queueCap = 128
 
+// request is one queued (posted) write.
 type request struct {
-	line    uint64
-	row     uint64
+	// key is the cached bias-free pick key: max(arrival, bank busyUntil)
+	// shifted left one bit, with the low bit set on a row miss. Comparing
+	// keys compares (start, rowMiss) lexicographically.
+	key     uint64
 	arrival uint64
-	seq     uint64
+	row     uint64
 	bytes   int32
 	ch      int32 // channel, decoded at enqueue
 	bank    int32 // global bank index (ch*Banks+bank), decoded at enqueue
-	write   bool
 }
 
 type bankState struct {
@@ -54,32 +69,45 @@ type bankState struct {
 	hasOpen   bool
 	busyUntil uint64
 	lastAct   uint64
+	writes    int32 // queued writes to this bank
+}
+
+// keyOf is the bias-free FR-FCFS key of a request to row arriving at
+// arrival, against bank's current state.
+func (b *bankState) keyOf(arrival, row uint64) uint64 {
+	start := arrival
+	if b.busyUntil > start {
+		start = b.busyUntil
+	}
+	if b.hasOpen && b.openRow == row {
+		return start << 1
+	}
+	return start<<1 | 1
 }
 
 // Controller schedules requests over the same geometry and timing
 // parameters as dram.Module. It implements dram.Device.
 type Controller struct {
 	cfg dram.Config
+	dec dram.Decoder
 
-	cpuPerBus    uint64
-	tCAS         uint64
-	tRCD         uint64
-	tRP          uint64
-	tRAS         uint64
-	halfCycleCPU uint64
-	bytesPerBeat int
-	linesPerRow  uint64
+	tCAS uint64
+	tRCD uint64
+	tRP  uint64
+	tRAS uint64
 
 	banks []bankState
 	buses []uint64
 
-	queue   []request
-	nextSeq uint64
-	writes  int // queued writes
+	// writes is the write buffer in arrival-call order; while it is
+	// non-empty, best indexes its smallest key (the oldest among equals).
+	writes []request
+	best   int
 
 	stats dram.Stats
 	// maxQueueDepth is the pending-queue high-water mark — the controller's
 	// engine-specific observability signal (published via RegisterExtraMetrics).
+	// A read counts toward the depth while its own Access runs.
 	maxQueueDepth int
 }
 
@@ -109,19 +137,16 @@ func NewController(cfg dram.Config) (*Controller, error) {
 	}
 	cpb := cfg.CPUPerBus()
 	return &Controller{
-		cfg:          cfg,
-		cpuPerBus:    cpb,
-		tCAS:         uint64(cfg.TCAS) * cpb,
-		tRCD:         uint64(cfg.TRCD) * cpb,
-		tRP:          uint64(cfg.TRP) * cpb,
-		tRAS:         uint64(cfg.TRAS) * cpb,
-		halfCycleCPU: (cpb + 1) / 2,
-		bytesPerBeat: cfg.BytesPerHalfBusCycle(),
-		linesPerRow:  uint64(cfg.RowBufferBytes / dram.LineBytes),
-		banks:        make([]bankState, cfg.Channels*cfg.Banks),
-		buses:        make([]uint64, cfg.Channels),
-		// One slot of headroom: Access appends before draining back to cap.
-		queue: make([]request, 0, queueCap+1),
+		cfg:   cfg,
+		dec:   cfg.Decoder(),
+		tCAS:  uint64(cfg.TCAS) * cpb,
+		tRCD:  uint64(cfg.TRCD) * cpb,
+		tRP:   uint64(cfg.TRP) * cpb,
+		tRAS:  uint64(cfg.TRAS) * cpb,
+		banks: make([]bankState, cfg.Channels*cfg.Banks),
+		buses: make([]uint64, cfg.Channels),
+		// One slot of headroom: a write appends before draining back to cap.
+		writes: make([]request, 0, queueCap+1),
 	}, nil
 }
 
@@ -134,11 +159,12 @@ func (c *Controller) Stats() dram.Stats { return c.stats }
 // ResetStats implements dram.Device.
 func (c *Controller) ResetStats() { c.stats = dram.Stats{} }
 
-// QueueDepth reports the pending request count, for tests.
-func (c *Controller) QueueDepth() int { return len(c.queue) }
+// QueueDepth reports the pending request count, for tests. Between calls
+// only writes are pending.
+func (c *Controller) QueueDepth() int { return len(c.writes) }
 
 // QueuedWrites reports the pending write count, for invariant tests.
-func (c *Controller) QueuedWrites() int { return c.writes }
+func (c *Controller) QueuedWrites() int { return len(c.writes) }
 
 // MaxQueueDepth reports the pending-queue high-water mark.
 func (c *Controller) MaxQueueDepth() int { return c.maxQueueDepth }
@@ -149,23 +175,6 @@ func (c *Controller) RegisterExtraMetrics(s *metrics.Scope) {
 	s.GaugeFunc("queue_max_depth", func() float64 { return float64(c.maxQueueDepth) })
 }
 
-func (c *Controller) locate(line uint64) (channel, bank int, row uint64) {
-	ch := int(line % uint64(c.cfg.Channels))
-	cidx := line / uint64(c.cfg.Channels)
-	rowGlobal := cidx / c.linesPerRow
-	b := int(rowGlobal % uint64(c.cfg.Banks))
-	return ch, b, rowGlobal / uint64(c.cfg.Banks)
-}
-
-func (c *Controller) transferCycles(bytes int32) uint64 {
-	beats := uint64((int(bytes) + c.bytesPerBeat - 1) / c.bytesPerBeat)
-	t := beats * c.halfCycleCPU
-	if t == 0 {
-		t = 1
-	}
-	return t
-}
-
 // Access implements dram.Device. It never panics: a non-positive size (a
 // caller bug — every organization issues LineBytes/LEADBytes constants) is
 // clamped to a zero-byte control access costing one beat, keeping a bad
@@ -174,111 +183,98 @@ func (c *Controller) Access(at uint64, line uint64, bytes int, isWrite bool) uin
 	if bytes < 0 {
 		bytes = 0
 	}
-	ch, bk, row := c.locate(line)
-	req := request{
-		line:    line,
-		row:     row,
-		arrival: at,
-		seq:     c.nextSeq,
-		bytes:   int32(bytes),
-		ch:      int32(ch),
-		bank:    int32(ch*c.cfg.Banks + bk),
-		write:   isWrite,
-	}
-	c.nextSeq++
-	c.queue = append(c.queue, req)
-	if len(c.queue) > c.maxQueueDepth {
-		c.maxQueueDepth = len(c.queue)
-	}
+	ch, bk, row := c.dec.Locate(line)
+	bank := &c.banks[bk]
 	if isWrite {
-		c.writes++
 		c.stats.Writes++
 		c.stats.BytesWritten += uint64(bytes)
-		// Posted: drain opportunistically; report a nominal completion.
-		c.drainIfPressed()
-		return at + c.tCAS + c.transferCycles(req.bytes)
+		key := bank.keyOf(at, row)
+		if len(c.writes) == 0 || key < c.writes[c.best].key {
+			c.best = len(c.writes)
+		}
+		c.writes = append(c.writes, request{
+			key:     key,
+			arrival: at,
+			row:     row,
+			bytes:   int32(bytes),
+			ch:      int32(ch),
+			bank:    int32(bk),
+		})
+		bank.writes++
+		if len(c.writes) > c.maxQueueDepth {
+			c.maxQueueDepth = len(c.writes)
+		}
+		// Posted: drain only under full-queue backpressure, where every
+		// write competes on equal terms; report a nominal completion.
+		for len(c.writes) > queueCap {
+			c.issueBest()
+		}
+		return at + c.tCAS + c.dec.TransferCycles(bytes)
 	}
 	c.stats.Reads++
 	c.stats.BytesRead += uint64(bytes)
-	done := c.scheduleUntil(req.seq)
+	if d := len(c.writes) + 1; d > c.maxQueueDepth {
+		c.maxQueueDepth = d
+	}
+	// Issue writes while the best one is at least as good as this read.
+	// Bias is the same for every write, so it enters only here; below the
+	// drain watermark it handicaps writes so reads of similar readiness
+	// win. On a tie the write is older, and the older request wins.
+	for len(c.writes) > 0 {
+		wk := c.writes[c.best].key
+		if len(c.writes) < writeDrainWatermark {
+			wk += writeBias << 1
+		}
+		if wk > bank.keyOf(at, row) {
+			break
+		}
+		c.issueBest()
+	}
+	done := c.issue(bank, int32(ch), at, row, bytes)
+	if bank.writes > 0 {
+		c.rekey(int32(bk))
+	}
 	c.stats.TotalReadLatency += done - at
 	return done
 }
 
-// drainIfPressed issues work when the queue is pressed, bounding memory use
-// on write-heavy streams.
-func (c *Controller) drainIfPressed() {
-	for len(c.queue) > queueCap {
-		c.issue(c.pick())
-	}
-}
-
-// scheduleUntil issues queued requests greedily until seq completes,
-// returning its completion cycle.
-func (c *Controller) scheduleUntil(seq uint64) uint64 {
-	for {
-		idx := c.pick()
-		done, s := c.issue(idx)
-		if s == seq {
-			return done
-		}
-	}
-}
-
-// pick selects the next request to issue: the minimum of
-// (readyTime, writeHandicap, rowMissPenalty, arrival) — first-ready
-// first-come with read priority, the FR-FCFS family's greedy form. The scan
-// is bounded by queueCap and touches only enqueue-decoded fields; the
-// sequence number makes the key a total order, so the minimum is unique and
-// independent of queue storage order.
-func (c *Controller) pick() int {
-	drain := c.writes >= writeDrainWatermark
-	best := -1
-	var bestStart, bestMiss, bestSeq uint64
-	for i := range c.queue {
-		r := &c.queue[i]
-		bank := &c.banks[r.bank]
-		start := r.arrival
-		if bank.busyUntil > start {
-			start = bank.busyUntil
-		}
-		if r.write && !drain {
-			start += writeBias
-		}
-		var miss uint64 = 1 // row miss
-		if bank.hasOpen && bank.openRow == r.row {
-			miss = 0
-		}
-		if best == -1 || start < bestStart ||
-			(start == bestStart && (miss < bestMiss ||
-				(miss == bestMiss && r.seq < bestSeq))) {
-			best, bestStart, bestMiss, bestSeq = i, start, miss, r.seq
-		}
-	}
-	return best
-}
-
-// issue runs the bank/bus timing for queue[idx], removes it, and returns
-// its completion and sequence number. Removal is O(1) swap-with-last:
-// pick's key is totally ordered, so scheduling never depends on storage
-// order.
-func (c *Controller) issue(idx int) (done, seq uint64) {
-	r := c.queue[idx]
-	last := len(c.queue) - 1
-	c.queue[idx] = c.queue[last]
-	c.queue = c.queue[:last]
-	if r.write {
-		c.writes--
-	}
-
+// issueBest removes the best write, keeping arrival order, and issues it.
+func (c *Controller) issueBest() {
+	r := c.writes[c.best]
+	c.writes = append(c.writes[:c.best], c.writes[c.best+1:]...)
 	bank := &c.banks[r.bank]
-	start := r.arrival
+	bank.writes--
+	c.issue(bank, r.ch, r.arrival, r.row, int(r.bytes))
+	c.rekey(r.bank)
+}
+
+// rekey refreshes the cached keys of the writes to bank bk after an issue
+// there changed its state, and recomputes best.
+func (c *Controller) rekey(bk int32) {
+	bank := &c.banks[bk]
+	best, key := 0, ^uint64(0)
+	for i := range c.writes {
+		w := &c.writes[i]
+		if w.bank == bk {
+			w.key = bank.keyOf(w.arrival, w.row)
+		}
+		if w.key < key {
+			best, key = i, w.key
+		}
+	}
+	c.best = best
+}
+
+// issue runs the bank/bus timing for one request and returns its
+// completion. The caller re-keys the bank's queued writes.
+func (c *Controller) issue(bank *bankState, ch int32, arrival, row uint64, bytes int) uint64 {
+	start := arrival
 	if bank.busyUntil > start {
 		start = bank.busyUntil
 	}
 	var ready uint64
 	switch {
-	case bank.hasOpen && bank.openRow == r.row:
+	case bank.hasOpen && bank.openRow == row:
 		c.stats.RowHits++
 		ready = start + c.tCAS
 	case !bank.hasOpen:
@@ -296,14 +292,14 @@ func (c *Controller) issue(idx int) (done, seq uint64) {
 		ready = actStart + c.tRCD + c.tCAS
 	}
 	bank.hasOpen = true
-	bank.openRow = r.row
+	bank.openRow = row
 
 	dataStart := ready
-	if c.buses[r.ch] > dataStart {
-		dataStart = c.buses[r.ch]
+	if c.buses[ch] > dataStart {
+		dataStart = c.buses[ch]
 	}
-	done = dataStart + c.transferCycles(r.bytes)
-	c.buses[r.ch] = done
+	done := dataStart + c.dec.TransferCycles(bytes)
+	c.buses[ch] = done
 	bank.busyUntil = done
-	return done, r.seq
+	return done
 }

@@ -172,30 +172,39 @@ func TestNewControllerRejectsBadConfig(t *testing.T) {
 	New(cfg)
 }
 
-// TestQueueWritesInvariantUnderPressure pins the queue/writes bookkeeping at
-// queueCap pressure: the posted-write drain path must keep the queued-write
-// counter equal to the number of write requests actually in the queue, the
-// depth bounded by queueCap, and steady-state operation allocation-free.
+// TestQueueWritesInvariantUnderPressure pins the write-buffer bookkeeping at
+// queueCap pressure: every bank's queued-write counter (which gates
+// re-keying) must equal the number of buffered writes to that bank, every
+// cached key must equal a fresh computation, the cached best index must be
+// the first minimum, and the depth must stay bounded by queueCap.
 func TestQueueWritesInvariantUnderPressure(t *testing.T) {
 	c := testCtrl()
 	r := xrand.New(7)
-	countQueuedWrites := func() int {
-		n := 0
-		for i := range c.queue {
-			if c.queue[i].write {
-				n++
-			}
-		}
-		return n
-	}
+	perBank := make([]int32, len(c.banks))
 	at := uint64(0)
 	for i := 0; i < 10_000; i++ {
 		// Write-heavy with clustered rows so the queue actually fills.
 		isWrite := r.Bool(0.9)
 		c.Access(at, uint64(r.Intn(1<<18)), 64, isWrite)
 		at += uint64(r.Intn(3))
-		if got, want := c.QueuedWrites(), countQueuedWrites(); got != want {
-			t.Fatalf("after %d accesses: writes counter %d, queued writes %d", i+1, got, want)
+		clear(perBank)
+		best := 0
+		for j, w := range c.writes {
+			perBank[w.bank]++
+			if want := c.banks[w.bank].keyOf(w.arrival, w.row); w.key != want {
+				t.Fatalf("after %d accesses: write %d cached key %d, fresh key %d", i+1, j, w.key, want)
+			}
+			if w.key < c.writes[best].key {
+				best = j
+			}
+		}
+		if len(c.writes) > 0 && c.best != best {
+			t.Fatalf("after %d accesses: best write %d, first minimum %d", i+1, c.best, best)
+		}
+		for b := range c.banks {
+			if got, want := c.banks[b].writes, perBank[b]; got != want {
+				t.Fatalf("after %d accesses: bank %d writes counter %d, queued writes %d", i+1, b, got, want)
+			}
 		}
 		if d := c.QueueDepth(); d > queueCap {
 			t.Fatalf("after %d accesses: queue depth %d exceeds cap %d", i+1, d, queueCap)
@@ -207,9 +216,10 @@ func TestQueueWritesInvariantUnderPressure(t *testing.T) {
 }
 
 // TestAccessSteadyStateAllocFree pins Access's zero-allocation steady state:
-// the queue is preallocated to queueCap+1 at construction and requests are
-// value types, so enqueue/pick/issue never touch the heap. This is the
-// per-access cost the FR-FCFS experiments pay millions of times per cell.
+// the write buffer is preallocated to queueCap+1 at construction and
+// requests are value types, so enqueue/pick/issue never touch the heap.
+// This is the per-access cost the FR-FCFS experiments pay millions of
+// times per cell.
 func TestAccessSteadyStateAllocFree(t *testing.T) {
 	c := testCtrl()
 	r := xrand.New(3)

@@ -13,7 +13,11 @@
 // in steady state: no interface boxing, no per-event heap object (see
 // DESIGN.md §Performance). Cancellation is lazy — a cancelled entry stays
 // in the heap until it surfaces and is discarded by a generation check —
-// which keeps the sift paths free of index back-patching.
+// which keeps the sift paths free of index back-patching. Step fires the
+// root in place: the first event the callback schedules overwrites the
+// root and sifts down once, instead of a pop followed by a push — the
+// common case, since every core event reschedules itself exactly once.
+// Only a callback that schedules nothing pays the pop.
 package sim
 
 import "sync/atomic"
@@ -75,6 +79,10 @@ type Engine struct {
 	slots   []slot
 	free    []int32 // recycled arena indices
 	pending int     // live (non-cancelled) scheduled events
+	// rootFree is set when the heap root is the entry Step last fired,
+	// already released: the next At overwrites it instead of pushing, and
+	// any pop (which removes the root) clears the flag.
+	rootFree bool
 
 	// stopped is written by Stop, possibly from another goroutine (a
 	// watchdog or signal handler), and polled by the run loops.
@@ -117,7 +125,13 @@ func (e *Engine) At(at Cycle, fn func(now Cycle)) Event {
 	}
 	s := &e.slots[idx]
 	s.fn = fn
-	e.push(entry{at: at, seq: e.nextSeq, slot: idx, gen: s.gen})
+	v := entry{at: at, seq: e.nextSeq, slot: idx, gen: s.gen}
+	if e.rootFree {
+		e.rootFree = false
+		e.siftDown(v)
+	} else {
+		e.push(v)
+	}
 	e.nextSeq++
 	e.pending++
 	if n := uint64(e.pending); n > e.stats.MaxPending {
@@ -199,20 +213,6 @@ func (e *Engine) cancelled() bool {
 	}
 }
 
-// next pops heap entries until a live one surfaces, returning (entry, true),
-// or (zero, false) when the queue is exhausted. Stale entries belong to
-// cancelled events and are discarded.
-func (e *Engine) next() (entry, bool) {
-	for len(e.heap) > 0 {
-		head := e.heap[0]
-		e.pop()
-		if e.slots[head.slot].gen == head.gen {
-			return head, true
-		}
-	}
-	return entry{}, false
-}
-
 // peekAt reports the cycle of the earliest live event. Stale (cancelled)
 // heads are pruned on the way.
 func (e *Engine) peekAt() (Cycle, bool) {
@@ -229,16 +229,22 @@ func (e *Engine) peekAt() (Cycle, bool) {
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
 func (e *Engine) Step() bool {
-	head, ok := e.next()
-	if !ok {
+	if _, ok := e.peekAt(); !ok {
 		return false
 	}
+	head := e.heap[0]
 	fn := e.slots[head.slot].fn
 	e.release(head.slot)
 	e.pending--
 	e.now = head.at
 	e.stats.EventsFired++
+	// Fire in place: the root stays until the callback's first At
+	// overwrites it; if the callback schedules nothing, pop it now.
+	e.rootFree = true
 	fn(e.now)
+	if e.rootFree {
+		e.pop()
+	}
 	return true
 }
 
@@ -288,17 +294,24 @@ func (e *Engine) push(v entry) {
 }
 
 // pop removes the minimum (root) entry, restoring heap order by sifting the
-// displaced tail element down. Four children per node halve the tree depth
-// of a binary heap, which is what the pop-dominated simulation loop pays for.
+// displaced tail element down.
 func (e *Engine) pop() {
-	h := e.heap
-	n := len(h) - 1
-	v := h[n]
-	h = h[:n]
-	e.heap = h
-	if n == 0 {
-		return
+	e.rootFree = false
+	n := len(e.heap) - 1
+	v := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(v)
 	}
+}
+
+// siftDown places v at the root of the non-empty heap, overwriting the
+// current root, and sifts it down. Four children per node halve the tree
+// depth of a binary heap, which is what the fire-dominated simulation loop
+// pays for.
+func (e *Engine) siftDown(v entry) {
+	h := e.heap
+	n := len(h)
 	i := 0
 	for {
 		c := i<<2 + 1

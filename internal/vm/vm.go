@@ -114,15 +114,12 @@ type Memory struct {
 	// free lists per region, holding frame numbers
 	freeStacked []uint64
 	freeOffchip []uint64
-	tables      []map[uint64]uint64 // per-process vpage -> frame
-	onStorage   []map[uint64]bool   // per-process pages whose contents live on storage
-	// tcache memoizes each process's last successful translation — a
-	// software micro-TLB in front of the page-table map. Page-local access
-	// runs (64 lines per page) make it hit often enough that the map
-	// lookup leaves the per-access hot path; every operation that remaps
-	// or unmaps a page invalidates the affected entry, so it is pure
-	// memoization and cannot change any simulation result.
-	tcache    []transCache
+	// Dense per-process page tables indexed by virtual page, grown on
+	// demand (a workload's virtual pages are < its Stream.Pages()).
+	// tables holds the frame number plus one, so zero means unmapped;
+	// onStorage marks pages whose contents live on storage.
+	tables    [][]uint64
+	onStorage [][]bool
 	clockHand uint64
 	rng       *xrand.Rand
 	stats     Stats
@@ -152,29 +149,31 @@ func New(cfg Config, nprocs int) *Memory {
 	for f := cfg.StackedFrames; f < cfg.Frames; f++ {
 		m.freeOffchip = append(m.freeOffchip, f)
 	}
-	m.tables = make([]map[uint64]uint64, nprocs)
-	m.onStorage = make([]map[uint64]bool, nprocs)
-	m.tcache = make([]transCache, nprocs)
-	for i := range m.tables {
-		m.tables[i] = make(map[uint64]uint64)
-		m.onStorage[i] = make(map[uint64]bool)
-	}
+	m.tables = make([][]uint64, nprocs)
+	m.onStorage = make([][]bool, nprocs)
 	return m
 }
 
-// transCache is one process's last-translation memo (see Memory.tcache).
-type transCache struct {
-	vpage uint64
-	frame uint64
-	valid bool
+// lookup returns the frame mapping (proc, vpage), if resident.
+func (m *Memory) lookup(proc int, vpage uint64) (uint64, bool) {
+	if t := m.tables[proc]; vpage < uint64(len(t)) && t[vpage] != 0 {
+		return t[vpage] - 1, true
+	}
+	return 0, false
 }
 
-// invalidate drops proc's memoized translation if it covers vpage. Callers
-// are the remap/unmap sites: evictFrame, SwapFrames, MoveFrame.
-func (m *Memory) invalidate(proc int, vpage uint64) {
-	if proc >= 0 && proc < len(m.tcache) && m.tcache[proc].vpage == vpage {
-		m.tcache[proc].valid = false
+// setFrame maps (proc, vpage) to frame f, growing the table as needed.
+func (m *Memory) setFrame(proc int, vpage, f uint64) {
+	m.tables[proc] = growTo(m.tables[proc], vpage+1)
+	m.tables[proc][vpage] = f + 1
+}
+
+// growTo extends s with zero values to at least n elements.
+func growTo[T any](s []T, n uint64) []T {
+	if n <= uint64(len(s)) {
+		return s
 	}
+	return append(s, make([]T, n-uint64(len(s)))...)
 }
 
 // Config returns the configuration.
@@ -197,33 +196,22 @@ func (m *Memory) ResidentPages() uint64 {
 func (m *Memory) Translate(proc int, vline uint64, isWrite bool) (pline uint64, out FaultOutcome) {
 	vpage := vline / LinesPerPage
 	offset := vline % LinesPerPage
-	tc := &m.tcache[proc]
-	if tc.valid && tc.vpage == vpage {
-		fr := &m.frames[tc.frame]
-		fr.ref = true
-		if isWrite {
-			fr.dirty = true
-		}
-		return tc.frame*LinesPerPage + offset, FaultOutcome{}
-	}
-	table := m.tables[proc]
-	if f, ok := table[vpage]; ok {
+	if f, ok := m.lookup(proc, vpage); ok {
 		fr := &m.frames[f]
 		fr.ref = true
 		if isWrite {
 			fr.dirty = true
 		}
-		*tc = transCache{vpage: vpage, frame: f, valid: true}
 		return f*LinesPerPage + offset, FaultOutcome{}
 	}
 
 	// Page fault.
-	major := m.onStorage[proc][vpage]
+	st := m.onStorage[proc]
+	major := vpage < uint64(len(st)) && st[vpage]
 	f := m.allocate(proc, vpage)
 	fr := &m.frames[f]
 	*fr = frameInfo{owner: proc, vpage: vpage, valid: true, ref: true, dirty: isWrite}
-	table[vpage] = f
-	*tc = transCache{vpage: vpage, frame: f, valid: true}
+	m.setFrame(proc, vpage, f)
 
 	out.Fault = true
 	if major {
@@ -231,7 +219,7 @@ func (m *Memory) Translate(proc int, vline uint64, isWrite bool) (pline uint64, 
 		out.StallCycles = m.cfg.MajorFaultCycles
 		m.stats.MajorFaults++
 		m.stats.BytesFromStorage += PageBytes
-		delete(m.onStorage[proc], vpage)
+		m.onStorage[proc][vpage] = false // allocate may have regrown st
 	} else {
 		out.StallCycles = m.cfg.MinorFaultCycles
 		m.stats.MinorFaults++
@@ -311,8 +299,8 @@ func (m *Memory) evict() uint64 {
 // evictFrame unmaps the page in frame f, charging storage traffic.
 func (m *Memory) evictFrame(f uint64) {
 	fr := &m.frames[f]
-	m.invalidate(fr.owner, fr.vpage)
-	delete(m.tables[fr.owner], fr.vpage)
+	m.tables[fr.owner][fr.vpage] = 0
+	m.onStorage[fr.owner] = growTo(m.onStorage[fr.owner], fr.vpage+1)
 	m.onStorage[fr.owner][fr.vpage] = true
 	m.stats.Evictions++
 	if fr.dirty {
@@ -327,17 +315,7 @@ func (m *Memory) evictFrame(f uint64) {
 // memory together with its dirty lines, so a writeback to a non-resident
 // page has already been absorbed by the page-out).
 func (m *Memory) TranslateNoFault(proc int, vline uint64, isWrite bool) (pline uint64, ok bool) {
-	vpage := vline / LinesPerPage
-	tc := &m.tcache[proc]
-	if tc.valid && tc.vpage == vpage {
-		fr := &m.frames[tc.frame]
-		fr.ref = true
-		if isWrite {
-			fr.dirty = true
-		}
-		return tc.frame*LinesPerPage + vline%LinesPerPage, true
-	}
-	f, found := m.tables[proc][vpage]
+	f, found := m.lookup(proc, vline/LinesPerPage)
 	if !found {
 		return 0, false
 	}
@@ -346,15 +324,13 @@ func (m *Memory) TranslateNoFault(proc int, vline uint64, isWrite bool) (pline u
 	if isWrite {
 		fr.dirty = true
 	}
-	*tc = transCache{vpage: vpage, frame: f, valid: true}
 	return f*LinesPerPage + vline%LinesPerPage, true
 }
 
 // FrameOf reports the frame currently holding (proc, vpage), for tests and
 // the TLM migration machinery.
 func (m *Memory) FrameOf(proc int, vpage uint64) (uint64, bool) {
-	f, ok := m.tables[proc][vpage]
-	return f, ok
+	return m.lookup(proc, vpage)
 }
 
 // SwapFrames exchanges the contents (ownership, dirty/ref state) of two
@@ -369,10 +345,8 @@ func (m *Memory) SwapFrames(a, b uint64) {
 	if !fa.valid || !fb.valid {
 		panic("vm: SwapFrames on unmapped frame")
 	}
-	m.invalidate(fa.owner, fa.vpage)
-	m.invalidate(fb.owner, fb.vpage)
-	m.tables[fa.owner][fa.vpage] = b
-	m.tables[fb.owner][fb.vpage] = a
+	m.tables[fa.owner][fa.vpage] = b + 1
+	m.tables[fb.owner][fb.vpage] = a + 1
 	*fa, *fb = *fb, *fa
 }
 
@@ -388,8 +362,7 @@ func (m *Memory) MoveFrame(src, dst uint64) {
 		panic("vm: MoveFrame onto occupied frame")
 	}
 	m.removeFromFree(dst)
-	m.invalidate(fs.owner, fs.vpage)
-	m.tables[fs.owner][fs.vpage] = dst
+	m.tables[fs.owner][fs.vpage] = dst + 1
 	*fd = *fs
 	*fs = frameInfo{owner: -1}
 	m.addToFree(src)
