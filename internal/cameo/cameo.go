@@ -105,9 +105,9 @@ type Stats struct {
 	Cases     CaseStats
 }
 
-// Add folds other into s — the deterministic reduction the group-sharded
-// execution mode uses to merge per-lane counters (every field is a sum, so
-// the merged value is independent of lane visit order).
+// Add folds other into s. Every field is a sum, so the result does not
+// depend on fold order; perfbench's trace aggregation (perfbench/trace.go)
+// uses it to total CAMEO counters across cells.
 func (s *Stats) Add(o Stats) {
 	s.StackedHits += o.StackedHits
 	s.OffChipHits += o.OffChipHits

@@ -36,7 +36,6 @@ func init() {
 				LLTCacheEntries:  e.LLTCacheEntries,
 			}, stacked, off)
 		},
-		ShardableState: buildShardPlan,
 	})
 }
 

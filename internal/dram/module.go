@@ -59,9 +59,9 @@ type Stats struct {
 	ForcedDrains uint64
 }
 
-// Add folds other into s — the deterministic reduction merging per-lane
-// device counters in the group-sharded execution mode (all fields sum, so
-// the merge is independent of lane order).
+// Add folds other into s. Every field is a sum, so the result does not
+// depend on fold order; perfbench's trace aggregation (perfbench/trace.go)
+// uses it to total device counters across devices and cells.
 func (s *Stats) Add(o Stats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes

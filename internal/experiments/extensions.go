@@ -121,7 +121,6 @@ func ExtScale(s *Suite, w io.Writer) {
 		InstrPerCore: s.opts.InstrPerCore,
 		Seed:         s.opts.Seed,
 		Benchmarks:   pickScaleSubset(s),
-		Shards:       s.opts.Shards,
 	})
 	if err != nil {
 		panic(runError{err})

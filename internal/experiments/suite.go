@@ -52,10 +52,6 @@ type Options struct {
 	Checkpoint *runner.Checkpoint
 	// Faults injects deterministic chaos at the job site (tests/CLI).
 	Faults *faultinject.Plan
-	// Shards, when nonzero, runs every cell in the group-sharded execution
-	// mode with this many lane workers (system.Config.Shards). Output is
-	// byte-identical at every nonzero value; 0 is the sequential engine.
-	Shards int
 }
 
 // DefaultOptions returns the suite defaults: 1/1024 scale, the paper's 32
@@ -186,21 +182,13 @@ func (s *Suite) benchmarks() []workload.Spec {
 
 // sysConfig lifts the suite options into a system config for org.
 func (s *Suite) sysConfig(org system.OrgKind) system.Config {
-	cfg := system.Config{
+	return system.Config{
 		Org:          org,
 		ScaleDiv:     s.opts.ScaleDiv,
 		Cores:        s.opts.Cores,
 		InstrPerCore: s.opts.InstrPerCore,
 		Seed:         s.opts.Seed,
 	}
-	// The suite compares many organizations in one grid; a suite-wide
-	// Shards applies to the organizations that declare shardable state and
-	// leaves the rest on the sequential engine (their cells and keys are
-	// exactly the unsharded ones, so caches still hit).
-	if s.opts.Shards > 0 && system.SupportsSharding(org) {
-		cfg.Shards = s.opts.Shards
-	}
-	return cfg
 }
 
 // runError wraps a runner failure so render functions (which have no error

@@ -67,14 +67,6 @@ type Descriptor struct {
 	// problems before anything is sized (bad partition percent, non-power
 	// -of-two ways). Called with a device-factory-free Env.
 	Validate func(e Env) error
-	// ShardableState, when non-nil, declares that the organization's
-	// migration/table/counter state partitions cleanly by congruence group
-	// (lines never move between groups), and builds the canonical lane
-	// decomposition for the group-sharded execution mode (-shards). The
-	// lane count must depend only on the Env — never on the worker count —
-	// so sharded output is byte-identical at any Shards >= 1; see ShardPlan.
-	// Organizations without this capability reject Shards at Validate time.
-	ShardableState func(e Env) (*ShardPlan, error)
 	// OracleHotPages asks package system to install profiled (oracular)
 	// page placement after construction (TLM-Oracle).
 	OracleHotPages bool

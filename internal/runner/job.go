@@ -87,10 +87,8 @@ func (j Job) Key() string {
 		fmt.Fprintf(&b, "|hways=%d", c.HybridWays)
 	}
 	if c.Shards != 0 {
-		// The mode bit, not the worker count: sharded output is
-		// byte-identical at every Shards >= 1, so all nonzero values share
-		// one cell (and one cache entry), and -shards 1 vs -shards 4 telemetry
-		// compares byte-for-byte including the embedded key.
+		// Validate rejects every nonzero Shards; the bit keeps such a
+		// config from sharing a key with its valid twin.
 		b.WriteString("|sharded=1")
 	}
 	return b.String()

@@ -104,6 +104,41 @@ func TestSweepDeterministicAndOrdered(t *testing.T) {
 	}
 }
 
+// TestStaleShardsFieldIgnored: a client still sending the removed "shards"
+// field gets the serial model under the serial cell key — the same bytes
+// as the request without it, since JSON decoding drops unknown fields.
+func TestStaleShardsFieldIgnored(t *testing.T) {
+	var mu sync.Mutex
+	var keys []string
+	_, ts := newTestServer(t, Options{Execute: func(ctx context.Context, j runner.Job) system.Result {
+		mu.Lock()
+		keys = append(keys, j.Key())
+		mu.Unlock()
+		return fakeExecute(ctx, j)
+	}})
+	plain := `{"org":"cameo","benchmarks":["mcf"],"sweep":"frfcfs","values":[0,1]}`
+	stale := `{"org":"cameo","benchmarks":["mcf"],"sweep":"frfcfs","values":[0,1],"shards":4}`
+	var bodies [][]byte
+	for _, body := range []string{plain, stale} {
+		resp, b := postSweep(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+		}
+		bodies = append(bodies, b)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("stale shards field changed the response:\n%s\nvs\n%s", bodies[0], bodies[1])
+	}
+	if len(keys) != 4 {
+		t.Fatalf("executed %d cells, want 4 (2 per request)", len(keys))
+	}
+	for _, k := range keys {
+		if strings.Contains(k, "sharded") {
+			t.Fatalf("cell key %q carries the sharded bit", k)
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxCells: 3})
 	for _, tc := range []struct {

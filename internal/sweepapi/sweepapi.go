@@ -33,10 +33,6 @@ type Request struct {
 	Cores  int      `json:"cores,omitempty"`
 	Scale  uint64   `json:"scale,omitempty"`
 	Seed   uint64   `json:"seed,omitempty"`
-	// Shards selects the group-sharded execution mode with this many lane
-	// workers (0 = sequential engine). Results are byte-identical at every
-	// nonzero value; the organization must declare shardable state.
-	Shards int `json:"shards,omitempty"`
 	// TimeoutMS bounds the whole request; on expiry the sweep is cancelled
 	// mid-flight (not abandoned) and the request answers 504.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -219,7 +215,6 @@ func BuildGrid(req Request, maxCells int) (*Grid, error) {
 				Cores:        req.Cores,
 				InstrPerCore: req.Instr,
 				Seed:         req.Seed,
-				Shards:       req.Shards,
 			}
 			if cfg.ScaleDiv == 0 {
 				cfg.ScaleDiv = 1024

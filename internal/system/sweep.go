@@ -49,9 +49,7 @@ func ApplySweep(cfg *Config, dim string, v uint64) error {
 		cfg.Seed = v
 	case "frfcfs":
 		// 0/1 toggle: compares the analytic in-order DRAM model against the
-		// queued FR-FCFS controller on otherwise-identical cells (it is
-		// also how the shard-determinism smoke reaches a controller-heavy
-		// cell through the CLI).
+		// queued FR-FCFS controller on otherwise-identical cells.
 		cfg.FRFCFS = v != 0
 	case "mempart":
 		cfg.MemPartPct = int(v)

@@ -87,7 +87,6 @@ type machine struct {
 	eng     *sim.Engine
 	vmm     *vm.Memory
 	org     memsys.Organization
-	shard   *shardedOrg // non-nil iff cfg.Shards > 0 (org is the same value)
 	l3      *cache.L3
 	tlbs    []*tlb.TLB
 	cores   []*cpu.Core
@@ -145,7 +144,6 @@ func newMachine(specs []workload.Spec, cfg Config) (*machine, error) {
 		return nil, fmt.Errorf("system: building %s: %w", cfg.Org, err)
 	}
 	m.org = org
-	m.shard, _ = org.(*shardedOrg)
 
 	if desc.OracleHotPages {
 		m.installOraclePlacement(stackedLines)
@@ -222,17 +220,6 @@ func buildOrg(desc memorg.Descriptor, cfg Config, vmm *vm.Memory, visibleLines, 
 		}
 		return newDevice(c)
 	}
-	if cfg.Shards > 0 {
-		// Group-sharded execution mode: the organization partitions its
-		// congruence-group state into canonical lanes (sharded.go) instead
-		// of building one monolithic system. Validate guaranteed the
-		// capability exists.
-		plan, err := desc.ShardableState(env)
-		if err != nil {
-			return nil, err
-		}
-		return newShardedOrg(plan, cfg.Shards)
-	}
 	return desc.Build(env)
 }
 
@@ -299,12 +286,7 @@ func (m *machine) memFunc(coreID int, now uint64, req workload.Request) cpu.Outc
 		}
 	}
 	complete := m.org.Access(now+L3LookupCycles, memsys.Request{Core: coreID, PLine: pline, PC: req.PC})
-	if m.shard == nil {
-		// Sharded mode observes latency lane-side (the nominal completion
-		// returned here carries no timing signal); the per-lane histograms
-		// merge into m.lat after drain.
-		m.lat.Observe(complete + stall - now)
-	}
+	m.lat.Observe(complete + stall - now)
 	return cpu.Outcome{Complete: complete + stall, BlockUntil: block}
 }
 
@@ -407,20 +389,11 @@ func runMachine(ctx context.Context, specs []workload.Spec, cfg Config, name str
 		c.Start()
 	}
 	m.eng.Run()
-	var shardErr error
-	if m.shard != nil {
-		// Join the shard workers unconditionally — a preempted run must not
-		// leak goroutines — and surface any lane failure as a cell error.
-		shardErr = m.shard.drain()
-	}
 	if m.eng.Preempted() {
 		// The run is partial: no Result escapes, the machine (heap, arenas,
 		// page tables) becomes garbage, and the caller's goroutine returns.
 		return Result{}, fmt.Errorf("system: %s on %s cancelled at cycle %d: %w",
 			name, cfg.Org, m.eng.Now(), ctx.Err())
-	}
-	if shardErr != nil {
-		return Result{}, fmt.Errorf("system: %s on %s: %w", name, cfg.Org, shardErr)
 	}
 
 	res := Result{
@@ -451,18 +424,6 @@ func runMachine(ctx context.Context, specs []workload.Spec, cfg Config, name str
 	if totalDem > 0 {
 		res.AvgMemLatency = float64(totalLat) / float64(totalDem)
 	}
-	if m.shard != nil {
-		// The cores only saw the nominal latency; fold the lane-side truth
-		// in. Cycles covers both the front end's retirement and the memory
-		// side's last completion; the latency distribution and mean come
-		// from the merged per-lane histograms. Every reduction here is
-		// order-independent, so the numbers match at any worker count.
-		if mc := m.shard.maxComplete(); mc > res.Cycles {
-			res.Cycles = mc
-		}
-		m.shard.mergeLatency(&m.lat)
-		res.AvgMemLatency = m.lat.Mean()
-	}
 	if res.WarmupEndCycle > 0 && res.Cycles > res.WarmupEndCycle {
 		// Execution time of the measured region only.
 		res.Cycles -= res.WarmupEndCycle
@@ -473,8 +434,6 @@ func runMachine(ctx context.Context, specs []workload.Spec, cfg Config, name str
 	res.LatencyP95 = m.lat.Quantile(0.95)
 	res.LatencyP99 = m.lat.Quantile(0.99)
 	switch org := m.org.(type) {
-	case *shardedOrg:
-		res.Cameo = org.cameoStats()
 	case *cameo.System:
 		st := org.Stats()
 		res.Cameo = &st
@@ -495,15 +454,6 @@ func runMachine(ctx context.Context, specs []workload.Spec, cfg Config, name str
 		st := m.l3.Stats()
 		res.L3 = &st
 	}
-	if m.shard != nil {
-		// Lane registries (cameo/*, dram/*) are disjoint by name from the
-		// front end's vm/l3/sim/sys scopes; Merge sums counters and buckets
-		// key-ordered, so the combined snapshot is byte-identical at any
-		// worker count.
-		snaps := append([]metrics.Snapshot{m.registerMetrics().Snapshot()}, m.shard.laneSnapshots()...)
-		res.Metrics = metrics.Merge(snaps...)
-	} else {
-		res.Metrics = m.registerMetrics().Snapshot()
-	}
+	res.Metrics = m.registerMetrics().Snapshot()
 	return res, nil
 }

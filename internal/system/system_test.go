@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"cameo/internal/cameo"
@@ -41,6 +42,17 @@ func TestConfigValidate(t *testing.T) {
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d passed", i)
+		}
+	}
+	// Sharded mode is gone: every nonzero Shards is rejected, whatever the
+	// organization.
+	for _, name := range OrgNames() {
+		org, _ := ParseOrg(name)
+		for _, shards := range []int{-1, 1, 4} {
+			c := Config{Org: org, Shards: shards}.WithDefaults()
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "sharded mode was removed") {
+				t.Errorf("%s with Shards=%d: Validate() = %v, want the removed-mode error", name, shards, err)
+			}
 		}
 	}
 }
