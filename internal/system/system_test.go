@@ -44,8 +44,11 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d passed", i)
 		}
 	}
-	// Sharded mode is gone: every nonzero Shards is rejected, whatever the
-	// organization.
+}
+
+// TestShardsRequireCapability: no organization can run sharded any more, so
+// every nonzero Shards must fail validation with an actionable message.
+func TestShardsRequireCapability(t *testing.T) {
 	for _, name := range OrgNames() {
 		org, _ := ParseOrg(name)
 		for _, shards := range []int{-1, 1, 4} {
