@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +161,31 @@ func TestSweepValidation(t *testing.T) {
 		if !strings.Contains(string(b), tc.want) {
 			t.Errorf("body %q: error %q does not mention %q", tc.body, b, tc.want)
 		}
+	}
+}
+
+// TestSweepRejectsHugeCoreCount: the core count sizes per-core state in
+// every cell, so an absurd "cores" (in the body or as the swept dimension)
+// must be refused with 400 before any cell runs.
+func TestSweepRejectsHugeCoreCount(t *testing.T) {
+	var executed atomic.Int64
+	_, ts := newTestServer(t, Options{
+		Execute: func(ctx context.Context, j runner.Job) system.Result {
+			executed.Add(1)
+			return fakeExecute(ctx, j)
+		},
+	})
+	for _, body := range []string{
+		`{"org":"cameo","benchmarks":["milc"],"cores":100000000}`,
+		`{"org":"cameo","benchmarks":["milc"],"sweep":"cores","values":[4,100000000]}`,
+	} {
+		resp, b := postSweep(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "cores exceeds the limit") {
+			t.Errorf("body %s: status %d (%s), want 400 naming the core limit", body, resp.StatusCode, b)
+		}
+	}
+	if n := executed.Load(); n != 0 {
+		t.Fatalf("%d cells executed for rejected requests", n)
 	}
 }
 

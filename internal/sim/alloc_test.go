@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // TestStepSteadyStateAllocFree pins the engine's central claim (DESIGN.md
-// §Performance): once the heap, slot arena, and free list have grown to the
+// §Performance): once the tree, slot arena, and free list have grown to the
 // working set, scheduling and firing events allocates nothing. A regression
 // here (interface boxing, per-event heap objects, closure creation on the
 // fire path) multiplies across the ~10^8 events of a paperbench run.
@@ -22,7 +22,7 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < chains; i++ {
 		e.At(Cycle(i), reschedule[i])
 	}
-	// Warm up: grow heap/slots/free to steady-state capacity.
+	// Warm up: grow the tree, slots and free list to steady-state capacity.
 	for i := 0; i < 1024; i++ {
 		e.Step()
 	}
@@ -36,26 +36,5 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatal("no events fired")
-	}
-}
-
-// TestCancelSteadyStateAllocFree covers the other handle lifecycle: schedule
-// then cancel must also be allocation-free once the arena is warm (lazy heap
-// deletion means the stale entry is pruned later without allocating).
-func TestCancelSteadyStateAllocFree(t *testing.T) {
-	e := NewEngine()
-	noop := func(now Cycle) {}
-	for i := 0; i < 256; i++ {
-		e.Cancel(e.At(Cycle(i), noop))
-	}
-	for e.Step() {
-	}
-	at := e.Now()
-	allocs := testing.AllocsPerRun(1000, func() {
-		at++
-		e.Cancel(e.At(at, noop))
-	})
-	if allocs != 0 {
-		t.Fatalf("At+Cancel steady state allocates %.1f objects", allocs)
 	}
 }

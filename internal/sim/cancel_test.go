@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -21,31 +20,6 @@ func chain(e *Engine, n int) *uint64 {
 		e.At(Cycle(i), f)
 	}
 	return &fired
-}
-
-// TestStopFromAnotherGoroutine pins the satellite fix: Stop is documented as
-// callable cross-goroutine (watchdogs, signal handlers), so the stopped flag
-// must be atomic. Under -race this test fails loudly if it regresses to a
-// plain bool.
-func TestStopFromAnotherGoroutine(t *testing.T) {
-	e := NewEngine()
-	chain(e, 4)
-	var stopped atomic.Bool
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		stopped.Store(true)
-		e.Stop()
-	}()
-	done := make(chan Cycle, 1)
-	go func() { done <- e.Run() }()
-	select {
-	case <-done:
-		if !stopped.Load() {
-			t.Fatal("Run returned before Stop on a non-draining queue")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not observe cross-goroutine Stop")
-	}
 }
 
 // TestRunPreemptedByContext: a cancelled context must stop Run within one
@@ -91,19 +65,6 @@ func TestPreCancelledContextFiresNothing(t *testing.T) {
 	}
 	if *fired != 0 {
 		t.Fatalf("fired %d events under a pre-cancelled context", *fired)
-	}
-}
-
-// TestRunUntilPreempted: RunUntil honours the cancel channel too.
-func TestRunUntilPreempted(t *testing.T) {
-	e := NewEngine()
-	chain(e, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e.SetCancel(ctx.Done())
-	e.RunUntil(1 << 40)
-	if !e.Preempted() {
-		t.Fatal("RunUntil ignored the cancel channel")
 	}
 }
 

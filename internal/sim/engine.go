@@ -7,64 +7,74 @@
 // global time order so that contention in the shared memory system is
 // observed consistently.
 //
-// The queue is a monomorphic 4-ary min-heap over value-type entries keyed
-// by (cycle, insertion sequence), with callbacks parked in a slot arena
-// recycled through a free list. Scheduling and firing are allocation-free
-// in steady state: no interface boxing, no per-event heap object (see
-// DESIGN.md §Performance). Cancellation is lazy — a cancelled entry stays
-// in the heap until it surfaces and is discarded by a generation check —
-// which keeps the sift paths free of index back-patching. Step fires the
-// root in place: the first event the callback schedules overwrites the
-// root and sifts down once, instead of a pop followed by a push — the
-// common case, since every core event reschedules itself exactly once.
-// Only a callback that schedules nothing pays the pop.
+// The queue is a winner (tournament) tree over a slot arena. Each scheduled
+// callback parks in an arena slot, which is one leaf; each inner node holds
+// its subtree's earliest entry inline, as a 16-byte key: the cycle, plus the
+// insertion sequence and slot index packed into one word. The root is the
+// next event. Step fires it, and the callback's first At reuses the fired
+// slot and replays that one leaf-to-root path: one branch-free min against
+// the sibling per level, log2(leaves) of them (5 at 32 cores), with no
+// data-dependent child selection. A callback that schedules nothing replays
+// the path with the idle key. The tree is sized to the arena lazily: when
+// the arena outgrows it, the next Step rebuilds the inner nodes bottom-up
+// once. Scheduling and firing are allocation-free in steady state (see
+// DESIGN.md §Performance).
 package sim
 
-import "sync/atomic"
+import (
+	"math"
+	"math/bits"
+)
 
 // Cycle is a point in simulated time, in CPU cycles (3.2 GHz in the paper's
 // configuration). A uint64 cycle counter at 3.2 GHz lasts ~180 years of
 // simulated time, so overflow is not a practical concern.
 type Cycle = uint64
 
-// Event is a handle to a scheduled callback, valid for Cancel until the
-// event fires. The zero Event is invalid and Cancel ignores it.
-type Event struct {
-	slot int32  // arena index + 1; 0 marks the zero (invalid) handle
-	gen  uint32 // arena generation at scheduling time
+// The packed ordering word is seq<<slotBits | slot. Twenty slot bits allow
+// about a million simultaneously pending events (the simulator keeps about
+// one per core); the remaining 44 bits number 1.7e13 events per engine.
+const (
+	slotBits = 20
+	maxSlots = 1 << slotBits
+	// maxSeq is the last usable sequence number. It stops one short of the
+	// field's top so that no real key's ord reaches the idle key's.
+	maxSeq = 1<<(64-slotBits) - 2
+)
+
+// key orders events by (cycle, insertion sequence); the slot index in the
+// low bits of ord never decides, since sequence numbers are unique.
+type key struct {
+	at  Cycle
+	ord uint64 // seq<<slotBits | slot
 }
 
-// slot parks one scheduled callback. gen increments every time the slot is
-// released (fire or cancel), invalidating outstanding handles and any stale
-// heap entry still pointing here.
+// idle fills empty leaves and the subtrees with nothing scheduled.
+var idle = key{at: math.MaxUint64, ord: math.MaxUint64}
+
+// minKey returns the lesser of a and b without a data-dependent branch,
+// which random event times would mispredict half the time: the keys compare
+// as one 128-bit number and the borrow selects.
+func minKey(a, b key) key {
+	_, borrow := bits.Sub64(b.ord, a.ord, 0)
+	_, borrow = bits.Sub64(b.at, a.at, borrow)
+	m := -borrow
+	return key{at: a.at ^ (a.at^b.at)&m, ord: a.ord ^ (a.ord^b.ord)&m}
+}
+
+// slot parks one scheduled callback with its key: the slot is a tree leaf.
 type slot struct {
+	key key
 	fn  func(now Cycle)
-	gen uint32
-}
-
-// entry is one heap element: the ordering key plus the slot reference. Keys
-// live inline so sift comparisons never chase the arena.
-type entry struct {
-	at   Cycle
-	seq  uint64 // insertion order; breaks ties deterministically
-	slot int32
-	gen  uint32
-}
-
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // Stats counts engine activity over the run.
 type Stats struct {
 	EventsFired uint64 // events dispatched by Step
-	MaxPending  uint64 // high-water mark of pending (live) events
+	MaxPending  uint64 // high-water mark of pending events
 }
 
-// preemptStride is how many events Run/RunUntil fire between polls of the
+// preemptStride is how many events Run fires between polls of the
 // cancellation channel. One poll per event would put a channel operation on
 // the hottest loop in the simulator; one poll per stride keeps the check
 // amortized to a fraction of a nanosecond per event while bounding the
@@ -75,18 +85,18 @@ const preemptStride = 4096
 type Engine struct {
 	now     Cycle
 	nextSeq uint64
-	heap    []entry
 	slots   []slot
+	// tree holds the inner nodes: tree[1] is the root and node i's
+	// children are 2i and 2i+1; with n = len(tree) leaves, node i >= n/2
+	// has the arena slots 2i-n and 2i+1-n as children. Slots beyond the
+	// arena count as idle. The tree is stale while the arena is longer
+	// than len(tree); Step then rebuilds it.
+	tree    []key
 	free    []int32 // recycled arena indices
-	pending int     // live (non-cancelled) scheduled events
-	// rootFree is set when the heap root is the entry Step last fired,
-	// already released: the next At overwrites it instead of pushing, and
-	// any pop (which removes the root) clears the flag.
-	rootFree bool
-
-	// stopped is written by Stop, possibly from another goroutine (a
-	// watchdog or signal handler), and polled by the run loops.
-	stopped atomic.Bool
+	pending int     // scheduled events not yet fired
+	// reuse is the slot Step is firing, plus one, until the callback's
+	// first At takes it; 0 when there is none.
+	reuse int32
 
 	// Cooperative cancellation: done is polled every preemptStride events;
 	// countdown and preempted are owned by the run-loop goroutine.
@@ -105,97 +115,108 @@ func NewEngine() *Engine {
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return e.pending }
+// Stats returns a snapshot of the engine's activity counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // At schedules fn to run at cycle at. Scheduling in the past is a
 // programming error and panics: time in a discrete-event simulation must be
-// monotone or results are not reproducible.
-func (e *Engine) At(at Cycle, fn func(now Cycle)) Event {
+// monotone or results are not reproducible. So does running out of the
+// packed key's slot or sequence field.
+func (e *Engine) At(at Cycle, fn func(now Cycle)) {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
+	if e.nextSeq > maxSeq {
+		panic("sim: event sequence number overflows its key field")
+	}
 	var idx int32
-	if n := len(e.free); n > 0 {
+	switch n := len(e.free); {
+	case e.reuse != 0:
+		idx = e.reuse - 1
+		e.reuse = 0
+	case n > 0:
 		idx = e.free[n-1]
 		e.free = e.free[:n-1]
-	} else {
+	default:
+		if len(e.slots) == maxSlots {
+			panic("sim: pending events overflow the key's slot field")
+		}
+		idx = int32(len(e.slots))
 		e.slots = append(e.slots, slot{})
-		idx = int32(len(e.slots) - 1)
 	}
-	s := &e.slots[idx]
-	s.fn = fn
-	v := entry{at: at, seq: e.nextSeq, slot: idx, gen: s.gen}
-	if e.rootFree {
-		e.rootFree = false
-		e.siftDown(v)
-	} else {
-		e.push(v)
-	}
+	e.slots[idx].fn = fn
+	e.replay(idx, key{at: at, ord: e.nextSeq<<slotBits | uint64(idx)})
 	e.nextSeq++
 	e.pending++
 	if n := uint64(e.pending); n > e.stats.MaxPending {
 		e.stats.MaxPending = n
 	}
-	return Event{slot: idx + 1, gen: s.gen}
 }
 
-// Stats returns a snapshot of the engine's activity counters.
-func (e *Engine) Stats() Stats { return e.stats }
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func(now Cycle)) Event {
-	return e.At(e.now+delay, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling the zero Event, or one that
-// already fired or was already cancelled, is a no-op. The heap entry is
-// discarded lazily when it reaches the front.
-func (e *Engine) Cancel(ev Event) {
-	if ev.slot == 0 {
+// replay stores k in leaf idx and recomputes the path from it to the root.
+// A stale tree is left for Step to rebuild.
+func (e *Engine) replay(idx int32, k key) {
+	e.slots[idx].key = k
+	t := e.tree
+	if len(e.slots) > len(t) {
 		return
 	}
-	idx := ev.slot - 1
-	s := &e.slots[idx]
-	if s.gen != ev.gen || s.fn == nil {
-		return
+	if sib := int(idx ^ 1); sib < len(e.slots) {
+		k = minKey(k, e.slots[sib].key)
 	}
-	e.release(idx)
-	e.pending--
+	i := (len(t) + int(idx)) >> 1
+	t[i] = k
+	for i > 1 {
+		k = minKey(k, t[i^1])
+		i >>= 1
+		t[i] = k
+	}
 }
 
-// release invalidates slot idx and returns it to the free list.
-func (e *Engine) release(idx int32) {
-	s := &e.slots[idx]
-	s.fn = nil
-	s.gen++
-	e.free = append(e.free, idx)
+// rebuild sizes the tree to the arena and recomputes every inner node.
+func (e *Engine) rebuild() {
+	n := 2
+	for n < len(e.slots) {
+		n <<= 1
+	}
+	e.tree = make([]key, n)
+	leaf := func(i int) key {
+		if i < len(e.slots) {
+			return e.slots[i].key
+		}
+		return idle
+	}
+	for i := n - 1; i >= 1; i-- {
+		if i >= n/2 {
+			e.tree[i] = minKey(leaf(2*i-n), leaf(2*i+1-n))
+		} else {
+			e.tree[i] = minKey(e.tree[2*i], e.tree[2*i+1])
+		}
+	}
+	// The free list never outgrows the arena: size it once per rebuild
+	// rather than growing it on the fire path.
+	if cap(e.free) < n {
+		e.free = append(make([]int32, 0, n), e.free...)
+	}
 }
 
-// Stop makes Run return after the current event completes. It is safe to
-// call from another goroutine; the run loops observe it at the next event
-// boundary.
-func (e *Engine) Stop() { e.stopped.Store(true) }
-
-// SetCancel binds a cancellation channel (normally ctx.Done()) to the run
-// loops: Run and RunUntil poll it every preemptStride events and return
-// early once it is closed. A nil channel (the default) disables polling
-// entirely, so engines that never need preemption pay nothing. The first
-// poll happens before the first event, so a run bound to an
-// already-cancelled context fires no events at all.
+// SetCancel binds a cancellation channel (normally ctx.Done()) to Run: it
+// polls the channel every preemptStride events and returns early once it
+// is closed. A nil channel (the default) disables polling entirely, so
+// engines that never need preemption pay nothing. The first poll happens
+// before the first event, so a run bound to an already-cancelled context
+// fires no events at all.
 func (e *Engine) SetCancel(done <-chan struct{}) {
 	e.done = done
 	e.countdown = 1
 }
 
-// Preempted reports whether the last Run/RunUntil returned because the
-// cancellation channel closed (as opposed to draining the queue, reaching
-// the limit, or Stop).
+// Preempted reports whether the last Run returned because the cancellation
+// channel closed (as opposed to draining the queue).
 func (e *Engine) Preempted() bool { return e.preempted }
 
-// cancelled is the run loops' per-iteration preemption check: a countdown
-// decrement on the fast path, a non-blocking channel poll every
-// preemptStride events.
+// cancelled is Run's per-iteration preemption check: a countdown decrement
+// on the fast path, a non-blocking channel poll every preemptStride events.
 func (e *Engine) cancelled() bool {
 	if e.done == nil {
 		return false
@@ -213,123 +234,41 @@ func (e *Engine) cancelled() bool {
 	}
 }
 
-// peekAt reports the cycle of the earliest live event. Stale (cancelled)
-// heads are pruned on the way.
-func (e *Engine) peekAt() (Cycle, bool) {
-	for len(e.heap) > 0 {
-		head := e.heap[0]
-		if e.slots[head.slot].gen == head.gen {
-			return head.at, true
-		}
-		e.pop()
-	}
-	return 0, false
-}
-
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
 func (e *Engine) Step() bool {
-	if _, ok := e.peekAt(); !ok {
+	if e.pending == 0 {
 		return false
 	}
-	head := e.heap[0]
-	fn := e.slots[head.slot].fn
-	e.release(head.slot)
+	if len(e.slots) > len(e.tree) {
+		e.rebuild()
+	}
+	top := e.tree[1]
+	idx := int32(top.ord & (maxSlots - 1))
+	s := &e.slots[idx]
+	fn := s.fn
+	s.fn = nil
 	e.pending--
-	e.now = head.at
+	e.now = top.at
 	e.stats.EventsFired++
-	// Fire in place: the root stays until the callback's first At
-	// overwrites it; if the callback schedules nothing, pop it now.
-	e.rootFree = true
+	// The fired key stays in its leaf until the callback's first At
+	// overwrites it; if the callback schedules nothing, clear it now.
+	e.reuse = idx + 1
 	fn(e.now)
-	if e.rootFree {
-		e.pop()
+	if e.reuse != 0 {
+		e.reuse = 0
+		e.replay(idx, idle)
+		e.free = append(e.free, idx)
 	}
 	return true
 }
 
-// Run processes events in time order until the queue drains, Stop is
-// called, or the cancellation channel bound with SetCancel closes. It
-// returns the final cycle; Preempted distinguishes cancellation from a
-// drained queue.
+// Run processes events in time order until the queue drains or the
+// cancellation channel bound with SetCancel closes. It returns the final
+// cycle; Preempted distinguishes cancellation from a drained queue.
 func (e *Engine) Run() Cycle {
-	e.stopped.Store(false)
 	e.preempted = false
-	for !e.stopped.Load() && !e.cancelled() && e.Step() {
+	for !e.cancelled() && e.Step() {
 	}
 	return e.now
-}
-
-// RunUntil processes events with At <= limit. Events beyond the limit remain
-// queued. Returns the clock, which is min(limit, last fired event) when the
-// queue still has later events. Like Run, it honours Stop and the
-// SetCancel channel.
-func (e *Engine) RunUntil(limit Cycle) Cycle {
-	e.stopped.Store(false)
-	e.preempted = false
-	for !e.stopped.Load() && !e.cancelled() {
-		at, ok := e.peekAt()
-		if !ok || at > limit {
-			break
-		}
-		e.Step()
-	}
-	return e.now
-}
-
-// push appends v and sifts it up the 4-ary heap.
-func (e *Engine) push(v entry) {
-	h := append(e.heap, v)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !v.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = v
-	e.heap = h
-}
-
-// pop removes the minimum (root) entry, restoring heap order by sifting the
-// displaced tail element down.
-func (e *Engine) pop() {
-	e.rootFree = false
-	n := len(e.heap) - 1
-	v := e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(v)
-	}
-}
-
-// siftDown places v at the root of the non-empty heap, overwriting the
-// current root, and sifts it down. Four children per node halve the tree
-// depth of a binary heap, which is what the fire-dominated simulation loop
-// pays for.
-func (e *Engine) siftDown(v entry) {
-	h := e.heap
-	n := len(h)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		// Select the smallest of up to four children.
-		min := c
-		for k := c + 1; k < c+4 && k < n; k++ {
-			if h[k].before(h[min]) {
-				min = k
-			}
-		}
-		if !h[min].before(v) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	h[i] = v
 }

@@ -51,7 +51,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	step = func(now Cycle) {
 		count++
 		if count < 5 {
-			e.After(10, step)
+			e.At(now+10, step)
 		}
 	}
 	e.At(0, step)
@@ -73,77 +73,86 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.At(50, func(Cycle) {})
 }
 
-func TestCancel(t *testing.T) {
+// TestTreeGrowsDuringRun: callbacks that schedule two events grow the arena
+// past several powers of two in the middle of Run. Each growth leaves the
+// tree stale until the next Step rebuilds it; the firing order must not
+// notice. Every event is scheduled at or after the one firing, with a later
+// sequence number, so (cycle, sequence) order is a strictly increasing
+// firing sequence that fires everything.
+func TestTreeGrowsDuringRun(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	ev := e.At(10, func(Cycle) { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
+	type fired struct {
+		at Cycle
+		id int
 	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	e.Cancel(ev)
-	ev2 := e.At(20, func(Cycle) {})
-	e.Run()
-	e.Cancel(ev2)
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	var evs []Event
-	for i := 0; i < 10; i++ {
-		i := i
-		evs = append(evs, e.At(Cycle(i*10), func(Cycle) { fired = append(fired, i) }))
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.Run()
-	if len(fired) != 8 {
-		t.Fatalf("fired %d events, want 8: %v", len(fired), fired)
-	}
-	for _, v := range fired {
-		if v == 4 || v == 7 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Cycle(i), func(Cycle) {
-			count++
-			if count == 3 {
-				e.Stop()
+	var order []fired
+	sizes := map[int]bool{}
+	next := 0
+	var schedule func(at Cycle)
+	schedule = func(at Cycle) {
+		id := next
+		next++
+		e.At(at, func(now Cycle) {
+			sizes[len(e.tree)] = true
+			order = append(order, fired{now, id})
+			if next < 300 {
+				schedule(now + Cycle(id%3))
+				schedule(now + Cycle(id%5))
 			}
 		})
 	}
+	schedule(0)
 	e.Run()
-	if count != 3 {
-		t.Fatalf("processed %d events before stop, want 3", count)
+	if len(order) != next || e.pending != 0 {
+		t.Fatalf("fired %d of %d events, %d pending", len(order), next, e.pending)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if b.at < a.at || b.at == a.at && b.id < a.id {
+			t.Fatalf("event %d (cycle %d) fired after %d (cycle %d)", b.id, b.at, a.id, a.at)
+		}
+	}
+	if len(sizes) < 4 {
+		t.Fatalf("tree took sizes %v during Run, want growth across at least three powers of two", sizes)
+	}
+	if got := e.Stats().EventsFired; got != uint64(next) {
+		t.Fatalf("EventsFired = %d, want %d", got, next)
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Cycle(i*10), func(Cycle) { count++ })
+// TestPackedKeyOverflowPanics: the sequence number and the slot index share
+// one word of the key, so At refuses, like a past cycle, any event whose
+// sequence number or slot would not fit its field.
+func TestPackedKeyOverflowPanics(t *testing.T) {
+	mustPanic := func(t *testing.T, e *Engine) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("At did not panic")
+			}
+		}()
+		e.At(e.Now(), func(Cycle) {})
 	}
-	e.RunUntil(45)
-	if count != 4 {
-		t.Fatalf("RunUntil(45) fired %d events, want 4", count)
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("total fired %d, want 10", count)
-	}
+	t.Run("sequence", func(t *testing.T) {
+		e := NewEngine()
+		e.nextSeq = maxSeq
+		var fired bool
+		e.At(7, func(Cycle) { fired = true }) // the last sequence number fits
+		mustPanic(t, e)
+		e.Run()
+		if !fired {
+			t.Fatal("event with the last sequence number did not fire")
+		}
+	})
+	t.Run("slot", func(t *testing.T) {
+		e := NewEngine()
+		e.slots = make([]slot, maxSlots-1)
+		e.At(0, func(Cycle) {}) // the last slot index fits
+		if got := e.slots[maxSlots-1].key.ord & (maxSlots - 1); got != maxSlots-1 {
+			t.Fatalf("last slot packed as %d", got)
+		}
+		mustPanic(t, e)
+	})
 }
 
 func TestStepOnEmptyQueue(t *testing.T) {
@@ -182,5 +191,27 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			e.At(Cycle(j%17), func(Cycle) {})
 		}
 		e.Run()
+	}
+}
+
+// BenchmarkScheduleAndRunSelfReschedule is the simulator's own pattern: 32
+// chains (one per core) that each reschedule themselves on every firing,
+// at pseudo-random gaps. One op is one fired event.
+func BenchmarkScheduleAndRunSelfReschedule(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	rng := uint64(1)
+	chains := make([]func(Cycle), 32)
+	for i := range chains {
+		i := i
+		chains[i] = func(now Cycle) {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			e.At(now+1+Cycle(rng>>58), chains[i])
+		}
+		e.At(Cycle(i), chains[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

@@ -12,7 +12,7 @@ func Example() {
 	eng.At(20, func(now sim.Cycle) { fmt.Println("second at", now) })
 	eng.At(10, func(now sim.Cycle) {
 		fmt.Println("first at", now)
-		eng.After(25, func(now sim.Cycle) { fmt.Println("third at", now) })
+		eng.At(now+25, func(now sim.Cycle) { fmt.Println("third at", now) })
 	})
 	end := eng.Run()
 	fmt.Println("clock:", end)

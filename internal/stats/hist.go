@@ -82,18 +82,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Merge folds other into h.
-func (h *Hist) Merge(other *Hist) {
-	for i, n := range other.buckets {
-		h.buckets[i] += n
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // Render prints the non-empty buckets with a proportional bar.
 func (h *Hist) Render(w io.Writer) {
 	var maxN uint64

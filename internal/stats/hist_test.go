@@ -72,16 +72,6 @@ func TestHistQuantileRoughAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	a.Observe(10)
-	b.Observe(1000)
-	a.Merge(&b)
-	if a.Count() != 2 || a.Max() != 1000 {
-		t.Fatalf("merged count=%d max=%d", a.Count(), a.Max())
-	}
-}
-
 func TestHistRender(t *testing.T) {
 	var h Hist
 	for i := 0; i < 100; i++ {

@@ -172,7 +172,8 @@ type Grid struct {
 // BuildGrid turns a request into the job grid. maxCells caps the grid size
 // (<=0 means 1024, matching the server default). The expansion is the
 // single source of truth for cell identity: server and coordinator both
-// call it, so a cell's key, tag, and position agree fleet-wide.
+// call it, so a cell's key, tag, and position agree fleet-wide. A cell
+// whose configuration fails system.Config.Validate fails the whole grid.
 func BuildGrid(req Request, maxCells int) (*Grid, error) {
 	if maxCells <= 0 {
 		maxCells = 1024
@@ -231,6 +232,11 @@ func BuildGrid(req Request, maxCells int) (*Grid, error) {
 					return nil, err
 				}
 				tag = fmt.Sprintf("%s@%s=%d", spec.Name, sweep, v)
+			}
+			// Reject an unusable cell here, before admission: the runner
+			// would only fail it as a cell after sizing its machine.
+			if err := cfg.WithDefaults().Validate(); err != nil {
+				return nil, fmt.Errorf("cell %s: %w", tag, err)
 			}
 			g.Jobs = append(g.Jobs, runner.NewJob(spec, cfg))
 			g.Tags = append(g.Tags, tag)

@@ -181,6 +181,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// maxCores bounds Config.Cores. Each core gets its own workload stream and
+// process, so an unbounded count from a sweep request would let one request
+// exhaust memory; the paper's machine has 32.
+const maxCores = 1024
+
 // Validate reports a descriptive error for an unusable configuration,
 // including organization-specific checks from the registry descriptor.
 func (c Config) Validate() error {
@@ -191,6 +196,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: ScaleDiv %d leaves no memory to simulate", c.ScaleDiv)
 	case c.Cores <= 0:
 		return fmt.Errorf("system: non-positive core count")
+	case c.Cores > maxCores:
+		return fmt.Errorf("system: %d cores exceeds the limit of %d", c.Cores, maxCores)
 	case c.InstrPerCore == 0:
 		return fmt.Errorf("system: zero instruction budget")
 	case c.StackedDivisor < 2 || c.StackedDivisor > 4:

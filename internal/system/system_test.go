@@ -38,10 +38,18 @@ func TestConfigValidate(t *testing.T) {
 		{ScaleDiv: 1 << 20, Cores: 1, InstrPerCore: 1},
 		{ScaleDiv: 256, Cores: 0, InstrPerCore: 1},
 		{ScaleDiv: 256, Cores: 1, InstrPerCore: 0},
+		{ScaleDiv: 256, Cores: -1, InstrPerCore: 1},
+		{ScaleDiv: 256, Cores: maxCores + 1, InstrPerCore: 1},
+		{ScaleDiv: 256, Cores: 100_000_000, InstrPerCore: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d passed", i)
+		}
+	}
+	for _, cores := range []int{1, 32, maxCores} {
+		if err := (Config{Cores: cores}).WithDefaults().Validate(); err != nil {
+			t.Errorf("%d cores rejected: %v", cores, err)
 		}
 	}
 }
